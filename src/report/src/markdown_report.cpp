@@ -9,6 +9,7 @@
 #include "hec/io/table.h"
 #include "hec/model/bottleneck.h"
 #include "hec/pareto/sweet_region.h"
+#include "hec/sweep/sweep.h"
 #include "hec/util/expect.h"
 
 namespace hec {
@@ -76,19 +77,16 @@ std::string markdown_report(const Workload& workload,
   const NodeSpec& arm = arm_model.spec();
   const NodeSpec& amd = amd_model.spec();
 
-  const ConfigEvaluator evaluator(arm_model, amd_model);
-  const auto configs = enumerate_configs(
-      arm, amd,
-      EnumerationLimits{options.max_arm_nodes, options.max_amd_nodes});
-  const auto outcomes = evaluator.evaluate_all(configs, units);
-  std::vector<TimeEnergyPoint> points;
-  points.reserve(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    points.push_back({outcomes[i].t_s, outcomes[i].energy_j, i});
-  }
-  const auto frontier = pareto_frontier(points);
+  // Frontier tags are enumeration indices: the layout decodes them, and
+  // only the recommended points are evaluated again for their outcome.
+  const EnumerationLimits limits{options.max_arm_nodes,
+                                 options.max_amd_nodes};
+  const ConfigSpaceLayout layout(arm, amd, limits);
+  const SweepResult sweep =
+      sweep_frontier(arm_model, amd_model, limits, units);
+  const std::vector<TimeEnergyPoint>& frontier = sweep.frontier;
   auto hetero = [&](std::size_t tag) {
-    return outcomes[tag].config.heterogeneous();
+    return layout.config(tag).heterogeneous();
   };
   const auto sweet = find_sweet_region(frontier, hetero);
   const auto overlap = find_overlap_region(frontier, hetero);
@@ -98,7 +96,7 @@ std::string markdown_report(const Workload& workload,
      << "Job: " << fmt(units, 0) << " " << workload.unit << " ("
      << workload.domain << "); pool: up to " << options.max_arm_nodes
      << " " << arm.name << " + " << options.max_amd_nodes << " "
-     << amd.name << " nodes; " << outcomes.size()
+     << amd.name << " nodes; " << sweep.stats.configs
      << " configurations evaluated.\n\n";
 
   md << "## Node characterisation (trace-driven model inputs)\n\n";
@@ -112,7 +110,7 @@ std::string markdown_report(const Workload& workload,
     table.set_alignment({Align::kRight, Align::kRight, Align::kLeft});
     for (const auto& p : frontier) {
       table.add_row({fmt(p.t_s * 1e3, 1), fmt(p.energy_j, 2),
-                     describe_config(outcomes[p.tag].config)});
+                     describe_config(layout.config(p.tag))});
     }
     table.print_markdown(md);
   }
@@ -135,12 +133,14 @@ std::string markdown_report(const Workload& workload,
                         "Cost per 1M jobs [USD]", "Bottleneck"});
     table.set_alignment({Align::kRight, Align::kLeft, Align::kRight,
                          Align::kRight, Align::kLeft});
+    const ConfigEvaluator evaluator(arm_model, amd_model);
     const EnergyDeadlineCurve curve(frontier);
     for (double factor : options.deadline_factors) {
       const double deadline = curve.min_time_s() * factor;
       const auto best = curve.best_for_deadline(deadline);
       if (!best) continue;
-      const ConfigOutcome& o = outcomes[best->tag];
+      const ConfigOutcome o =
+          evaluator.evaluate(layout.config(best->tag), units);
       const Prediction detail =
           o.units_amd > o.units_arm
               ? amd_model.predict(std::max(o.units_amd, 1.0), o.config.amd)

@@ -107,6 +107,24 @@ TEST(CliExitCodes, BadLogLevelIsUsageError) {
   EXPECT_EQ(run_cli("EP 10000 --log-level=x"), 64);
 }
 
+TEST(CliExitCodes, IntegerFlagsRejectFractionsAndOutOfRangeValues) {
+  // Integer flags parse as integers: no silent truncation, no undefined
+  // casts of huge or nan values, and the diagnostic names the flag.
+  for (const std::string bad :
+       {"--max-arm 1e12", "--max-amd nan", "--trials 1e10", "--max-arm 2.7",
+        "--seed 1.5", "--trials 0.5", "--seed -1", "--max-arm 99999999999"}) {
+    const std::string flag = bad.substr(0, bad.find(' '));
+    std::string err;
+    EXPECT_EQ(run_cli_stderr("EP 10000 --max-arm 2 --max-amd 2 " + bad, &err),
+              64)
+        << bad;
+    EXPECT_NE(err.find(flag), std::string::npos) << bad << ": " << err;
+  }
+  EXPECT_EQ(run_cli("EP 10000 --max-arm 2 --max-amd 2 --mttf-h 100 "
+                    "--trials 8 --seed 18446744073709551615"),
+            0);
+}
+
 TEST(CliExitCodes, TraceAndMetricsFilesAreWritten) {
   const std::string trace = ::testing::TempDir() + "hecsim_cli_trace.json";
   const std::string metrics = ::testing::TempDir() + "hecsim_cli_metrics.txt";
@@ -249,6 +267,31 @@ TEST(CliExitCodes, LedgerRecordsEveryInvocationWithItsExitCode) {
   // Protocol-derived counters survive even under HEC_OBS_DISABLE.
   EXPECT_NE(lines[0].find("sweep.configs_visited"), std::string::npos);
   EXPECT_NE(lines[1].find("\"exit_code\":2"), std::string::npos);
+}
+
+TEST(CliExitCodes, DefaultRunLedgerCarriesThePruneSplit) {
+  // The default query runs on the sweep engine, so its record carries
+  // the evaluated/pruned split; this space prunes most of its chunks.
+  const std::string ledger = ::testing::TempDir() + "cli_ledger_split.jsonl";
+  std::remove(ledger.c_str());
+  EXPECT_EQ(run_cli("Julius 300 --max-arm 32 --max-amd 12 --ledger " + ledger),
+            0);
+  std::ifstream in(ledger);
+  const std::string record((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  const auto counter = [&](const std::string& name) {
+    const std::string key = "\"" + name + "\":";
+    const auto at = record.find(key);
+    return at == std::string::npos
+               ? -1.0
+               : std::strtod(record.c_str() + at + key.size(), nullptr);
+  };
+  EXPECT_GT(counter("sweep.configs_evaluated"), 0.0) << record;
+  EXPECT_GT(counter("sweep.configs_pruned"), 0.0) << record;
+  EXPECT_EQ(counter("sweep.configs_evaluated") +
+                counter("sweep.configs_pruned"),
+            counter("sweep.configs_visited"))
+      << record;
 }
 
 /// Like run_cli but with an environment assignment prefixed (the

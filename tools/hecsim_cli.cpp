@@ -78,11 +78,13 @@
 #include "hec/obs/obs.h"
 #include "hec/obs/profile.h"
 #include "hec/pareto/frontier.h"
+#include "hec/pareto/streaming.h"
 #include "hec/resilience/failpoint.h"
 #include "hec/resilience/resumable.h"
 #include "hec/search/optimizer.h"
 #include "hec/shard/shard.h"
 #include "hec/shard/telemetry.h"
+#include "hec/sweep/sweep.h"
 #include "hec/util/atomic_file.h"
 #include "hec/util/build_info.h"
 #include "hec/util/env.h"
@@ -152,9 +154,11 @@ void print_usage(std::ostream& out) {
       "                       breakdown after the result (exit codes and\n"
       "                       default output are unchanged)\n"
       "  --no-prune           disable the analytic bound-and-prune layer\n"
-      "                       (journal/shard sweeps; frontier unchanged)\n"
+      "                       (every exhaustive query without --budget;\n"
+      "                       frontier unchanged)\n"
       "  --no-simd            disable the SoA/SIMD inner kernel and use the\n"
-      "                       scalar path (bit-identical results)\n"
+      "                       scalar path (every exhaustive query without\n"
+      "                       --budget; bit-identical results)\n"
       "  --ledger FILE        append one hec-run-ledger/v1 record (run id,\n"
       "                       build info, argv, key counters, wall, RSS,\n"
       "                       exit code) to FILE; see hecsim_obsreport\n"
@@ -211,8 +215,8 @@ struct Options {
            profile_out.has_value();
   }
   /// True when the run goes through the crash-safe resumable sweep
-  /// instead of the legacy evaluate-everything loop. Gated on the new
-  /// flags (plus HEC_DEADLINE_S) so default runs stay byte-identical.
+  /// instead of the plain in-memory one. Gated on the journal/deadline
+  /// flags (plus HEC_DEADLINE_S); both yield the same frontier.
   bool resilience_requested() const {
     return journal.has_value() || wall_deadline_s.has_value() ||
            hec::resilience::deadline_from_env() <
@@ -234,6 +238,23 @@ double parse_positive(const std::string& text, const std::string& what) {
   const double value = parse_number(text, what);
   if (!(value > 0.0)) {
     throw UsageError(what + " must be positive, got '" + text + "'");
+  }
+  return value;
+}
+
+/// Parses a whole number in [lo, hi]. Fractions, exponents, nan and
+/// out-of-range values are usage errors naming the flag, never a cast.
+template <typename T>
+T parse_integer(const std::string& text, const std::string& what,
+                T lo = std::numeric_limits<T>::min(),
+                T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    throw UsageError(what + " must be an integer in [" + std::to_string(lo) +
+                     ", " + std::to_string(hi) + "], got '" + text + "'");
   }
   return value;
 }
@@ -270,9 +291,10 @@ Options parse_args(int argc, char** argv) {
     } else if (args[i] == "--budget") {
       opts.budget_w = parse_positive(next(), "--budget");
     } else if (args[i] == "--max-arm") {
-      opts.max_arm = static_cast<int>(parse_number(next(), "--max-arm"));
+      // Negative sizes parse: the enumeration rejects them (exit 70).
+      opts.max_arm = parse_integer<int>(next(), "--max-arm");
     } else if (args[i] == "--max-amd") {
-      opts.max_amd = static_cast<int>(parse_number(next(), "--max-amd"));
+      opts.max_amd = parse_integer<int>(next(), "--max-amd");
     } else if (args[i] == "--method") {
       opts.method = next();
     } else if (args[i] == "--arm-inputs") {
@@ -290,11 +312,9 @@ Options parse_args(int argc, char** argv) {
     } else if (args[i] == "--checkpoint-s") {
       opts.checkpoint_s = parse_positive(next(), "--checkpoint-s");
     } else if (args[i] == "--trials") {
-      const double n = parse_positive(next(), "--trials");
-      opts.trials = static_cast<int>(n);
+      opts.trials = parse_integer<int>(next(), "--trials", 1);
     } else if (args[i] == "--seed") {
-      opts.seed =
-          static_cast<std::uint64_t>(parse_number(next(), "--seed"));
+      opts.seed = parse_integer<std::uint64_t>(next(), "--seed");
     } else if (args[i] == "--trace-out") {
       opts.trace_out = next();
     } else if (args[i] == "--metrics-out") {
@@ -322,11 +342,7 @@ Options parse_args(int argc, char** argv) {
     } else if (args[i] == "--deadline-s") {
       opts.wall_deadline_s = parse_positive(next(), "--deadline-s");
     } else if (args[i] == "--shards") {
-      const double n = parse_positive(next(), "--shards");
-      if (n != static_cast<double>(static_cast<std::size_t>(n))) {
-        throw UsageError("--shards must be a positive integer");
-      }
-      opts.shards = static_cast<std::size_t>(n);
+      opts.shards = parse_integer<std::size_t>(next(), "--shards", 1);
     } else if (args[i] == "--shard-timeout-s") {
       opts.shard_timeout_s = parse_positive(next(), "--shard-timeout-s");
     } else if (args[i] == "--listen") {
@@ -334,19 +350,9 @@ Options parse_args(int argc, char** argv) {
     } else if (args[i] == "--net-timeout-s") {
       opts.net_timeout_s = parse_positive(next(), "--net-timeout-s");
     } else if (args[i] == "--max-retries") {
-      const double n = parse_number(next(), "--max-retries");
-      if (n < 0.0 || n != static_cast<double>(static_cast<std::size_t>(n))) {
-        throw UsageError("--max-retries must be a non-negative integer");
-      }
-      opts.max_retries = static_cast<std::size_t>(n);
+      opts.max_retries = parse_integer<std::size_t>(next(), "--max-retries");
     } else if (args[i] == "--log-level") {
-      const double v = parse_number(next(), "--log-level");
-      if (v < 0.0 || v > 2.0 ||
-          v != static_cast<double>(static_cast<int>(v))) {
-        throw UsageError("--log-level must be an integer in [0, 2], got '" +
-                         args[i] + "'");
-      }
-      opts.log_level = static_cast<int>(v);
+      opts.log_level = parse_integer<int>(next(), "--log-level", 0, 2);
     } else {
       throw UsageError("unknown option: " + args[i]);
     }
@@ -600,11 +606,9 @@ int run(int argc, char** argv) {
   const hec::NodeTypeModel& amd_model = models.second;
   const hec::ConfigEvaluator evaluator(arm_model, amd_model);
   const hec::EnumerationLimits limits{opts.max_arm, opts.max_amd};
-
-  auto within_cap = [&](const hec::ClusterConfig& c) {
-    return !opts.budget_w ||
-           config_peak_power_w(arm, amd, c) <= *opts.budget_w;
-  };
+  hec::SweepOptions sweep_options;
+  sweep_options.prune = opts.prune;
+  sweep_options.simd = opts.simd;
 
   std::optional<hec::ConfigOutcome> best;
   std::size_t evaluations = 0;
@@ -612,31 +616,27 @@ int run(int argc, char** argv) {
   bool shards_failed = false;        // a shard exhausted its retry budget
   std::size_t configs_total = 0;     // coverage denominator when partial
   // Evaluated/pruned split for --sweep-stats and the ledger. Present on
-  // the sweep-engine paths (sharded, resumable); the legacy loop and the
-  // searchers evaluate everything they visit, so pruned stays 0 there.
+  // the sweep-engine paths (in-memory, resumable, sharded); the budget
+  // loop and the searchers evaluate everything they visit, so pruned
+  // stays 0 there.
   bool have_sweep_split = false;
   std::size_t sweep_evaluated = 0;
   std::size_t sweep_pruned = 0;
-  // Collected only when a trace/metrics file was requested: the frontier
-  // over evaluated points is observability output, not part of the
-  // query, and the default run must stay byte-identical.
-  std::vector<hec::TimeEnergyPoint> evaluated_points;
   // Worker spans + coordinator decisions from a sharded run, threaded
   // into the Chrome trace export. Empty (and skipped by the writer) on
   // every other path.
   hec::obs::ExternalTrace merged_trace;
-  // Picks the cheapest deadline-feasible point off a (time-sorted)
-  // frontier and re-evaluates its configuration for the full outcome.
+  // The answer rule of every exhaustive path: the cheapest
+  // deadline-feasible frontier point (on an equal-energy plateau, the
+  // fastest configuration), re-evaluated for the full outcome. Tags are
+  // enumeration indices. An empty (partial) frontier has no answer.
   const auto best_from_frontier =
-      [&](const std::vector<hec::TimeEnergyPoint>& frontier) {
-        std::optional<std::size_t> pick;
-        for (const auto& p : frontier) {
-          if (p.t_s > deadline_s) break;
-          pick = p.tag;
-        }
-        if (pick) {
+      [&](std::vector<hec::TimeEnergyPoint> frontier) {
+        if (frontier.empty()) return;
+        const hec::EnergyDeadlineCurve curve(std::move(frontier));
+        if (const auto pick = curve.best_for_deadline(deadline_s)) {
           const hec::ConfigSpaceLayout layout(arm, amd, limits);
-          best = evaluator.evaluate(layout.config(*pick), units);
+          best = evaluator.evaluate(layout.config(pick->tag), units);
         }
       };
   {
@@ -703,7 +703,7 @@ int run(int argc, char** argv) {
                 << sweep.reassignments << " reassignments, " << sweep.steals
                 << " steals, " << sweep.retries << " retries, "
                 << sweep.results_reused << " results reused)\n";
-      best_from_frontier(sweep.frontier);
+      best_from_frontier(std::move(sweep.frontier));
       if (sweep.complete && temp_state) {
         // Ephemeral state dir: nothing to resume, leave nothing behind.
         for (std::size_t i = 0; i < sweep.shards_total; ++i) {
@@ -720,7 +720,7 @@ int run(int argc, char** argv) {
       }
     } else if (opts.resilience_requested()) {
       // Crash-safe path: checkpointed, deadline-bounded streaming sweep
-      // over the full space (bit-identical frontier to the legacy loop).
+      // over the full space (bit-identical frontier to the in-memory one).
       hec::resilience::ResilienceOptions rop;
       if (opts.journal) rop.journal_path = *opts.journal;
       if (opts.journal_interval_s) {
@@ -728,12 +728,9 @@ int run(int argc, char** argv) {
       }
       rop.deadline_s =
           opts.wall_deadline_s.value_or(hec::resilience::deadline_from_env());
-      hec::SweepOptions swop;
-      swop.prune = opts.prune;
-      swop.simd = opts.simd;
-      const hec::resilience::ResumableSweepResult sweep =
-          hec::resilience::resumable_sweep_frontier(arm_model, amd_model,
-                                                    limits, units, swop, rop);
+      hec::resilience::ResumableSweepResult sweep =
+          hec::resilience::resumable_sweep_frontier(
+              arm_model, amd_model, limits, units, sweep_options, rop);
       evaluations = sweep.configs_visited;
       partial = !sweep.complete;
       configs_total = sweep.configs_total;
@@ -745,29 +742,33 @@ int run(int argc, char** argv) {
                   << " of " << sweep.configs_total
                   << " configurations already evaluated)\n";
       }
-      // The frontier is sorted by ascending time / descending energy, so
-      // the last deadline-feasible point is the cheapest feasible one.
-      best_from_frontier(sweep.frontier);
-    } else if (opts.method == "exhaustive" || opts.budget_w) {
-      // Budgeted queries always use the exhaustive path: the searchers'
-      // bounds do not account for the power cap.
-      const auto configs = enumerate_configs(arm, amd, limits);
+      best_from_frontier(std::move(sweep.frontier));
+    } else if (opts.budget_w) {
+      // The sweep engine has no power cap, so budgeted queries (under any
+      // --method: the searchers' bounds ignore the cap too) evaluate the
+      // within-cap configurations one by one into a frontier.
+      const hec::ConfigSpaceLayout layout(arm, amd, limits);
+      hec::ParetoAccumulator within_cap;
       // Batch-level timer: per-config clock reads would dominate the
       // ~100 ns evaluations they measure (see ConfigEvaluator::evaluate_all).
       HEC_SCOPED_TIMER("config.eval_wall_s");
-      for (const auto& config : configs) {
-        if (!within_cap(config)) continue;
+      for (std::size_t i = 0; i < layout.size(); ++i) {
+        const hec::ClusterConfig config = layout.config(i);
+        if (config_peak_power_w(arm, amd, config) > *opts.budget_w) continue;
         const hec::ConfigOutcome outcome = evaluator.evaluate(config, units);
-        if (opts.obs_requested()) {
-          evaluated_points.push_back(
-              {outcome.t_s, outcome.energy_j, evaluations});
-        }
+        within_cap.add({outcome.t_s, outcome.energy_j, i});
         ++evaluations;
-        if (outcome.t_s <= deadline_s &&
-            (!best || outcome.energy_j < best->energy_j)) {
-          best = outcome;
-        }
       }
+      best_from_frontier(within_cap.take());
+    } else if (opts.method == "exhaustive") {
+      hec::SweepResult sweep = hec::sweep_frontier(arm_model, amd_model,
+                                                   limits, units,
+                                                   sweep_options);
+      evaluations = sweep.stats.configs;
+      have_sweep_split = true;
+      sweep_evaluated = sweep.stats.evaluated;
+      sweep_pruned = sweep.stats.pruned;
+      best_from_frontier(std::move(sweep.frontier));
     } else {
       const auto result =
           opts.method == "bnb"
@@ -796,14 +797,6 @@ int run(int argc, char** argv) {
           static_cast<double>(sweep_pruned);
     }
   }
-  if (!evaluated_points.empty()) {
-    HEC_SPAN("cli.pareto");
-    const auto frontier = hec::pareto_frontier(evaluated_points);
-    hec::obs::log(1, "pareto frontier: " + std::to_string(frontier.size()) +
-                         " of " + std::to_string(evaluated_points.size()) +
-                         " evaluated points");
-  }
-
   if (partial) {
     std::cout << "Partial sweep: visited " << evaluations << " of "
               << configs_total
