@@ -197,6 +197,9 @@ struct ShardedSweepResult {
   /// configs_visited stay exact regardless.
   std::size_t configs_evaluated = 0;
   std::size_t configs_pruned = 0;
+  /// Configs the coordinator's seed pass evaluated before any shard ran
+  /// (sharded_sweep_frontier; 0 for run_sharded alone).
+  std::size_t configs_seeded = 0;
   /// Shards whose retry budget ran out (empty unless something is
   /// persistently wrong with the body or the machine).
   std::vector<std::size_t> failed_shards;

@@ -1003,9 +1003,10 @@ ShardedSweepResult sharded_sweep_frontier(const NodeTypeModel& arm_model,
                                           double work_units,
                                           const ShardedSweepOptions& opts) {
   HEC_SPAN("shard.sweep_frontier");
-  // Characterize once, fork many: the memo tables, bound table and SoA
-  // batches are all built before any worker exists and shared
-  // copy-on-write with all of them.
+  // Characterize once, fork many: the memo tables, the kernel's per-side
+  // rates and SoA batches, and the seed frontier are all built before any
+  // worker exists and shared copy-on-write with all of them. The seed
+  // pass runs on this thread, so no pool thread is alive across fork.
   const MemoizedConfigEvaluator memo(arm_model, amd_model, limits);
   TwoTypeSweepKernel::Options kopts;
   kopts.prune = opts.prune;
@@ -1027,7 +1028,9 @@ ShardedSweepResult sharded_sweep_frontier(const NodeTypeModel& arm_model,
     const KernelStats s = kernel.stats();
     return std::pair<std::size_t, std::size_t>(s.evaluated, s.pruned);
   };
-  return run_sharded(spec, opts);
+  ShardedSweepResult result = run_sharded(spec, opts);
+  result.configs_seeded = kernel.stats().seeded;
+  return result;
 }
 
 }  // namespace hec::shard

@@ -37,11 +37,13 @@ struct RangeReduction {
 /// workers claim `claim`-sized blocks from a shared atomic cursor and
 /// feed consume_block(block_first, count, accumulator); each worker's
 /// compacted partial frontier lands in the result. `seed` (a compacted
-/// frontier, possibly empty) preloads the first worker's accumulator —
-/// the resume path carries the journaled frontier through here, and by
-/// the compaction identity the merged result equals the frontier over
-/// seed ∪ [first, last). The frontier of the union is identical for any
-/// claim size, worker count or compaction limit.
+/// frontier, possibly empty) preloads every worker's accumulator, so
+/// each worker's pruning test sees it from its first block — the
+/// resume path carries the journaled frontier through here too. Seed
+/// points sit in several partials but collapse in the merge (exact
+/// duplicates), so by the compaction identity the merged result equals
+/// the frontier over seed ∪ [first, last). The frontier of the union is
+/// identical for any claim size, worker count or compaction limit.
 ///
 /// `stop` (optional) is polled before each claim; once it returns true,
 /// workers stop claiming — blocks already claimed are still finished, so
@@ -96,7 +98,7 @@ RangeReduction reduce_index_range(ThreadPool& pool, bool parallel,
     futures.push_back(pool.submit([&, w] {
       HEC_FAILPOINT_HIT("sweep.worker_start");
       ParetoAccumulator acc(compact_limit);
-      if (w == 0 && !seed.empty()) acc.seed(std::move(seed));
+      if (!seed.empty()) acc.seed(seed);
       while (!should_stop()) {
         const std::size_t block = cursor.fetch_add(claim);
         if (block >= last) break;

@@ -75,6 +75,10 @@ struct SweepStats {
   std::size_t evaluated = 0;      ///< configs the model actually ran on
   std::size_t pruned = 0;         ///< configs skipped by bound-and-prune
   std::size_t blocks_pruned = 0;  ///< bound chunks skipped whole
+  /// Configs the seed pass evaluated before the walk (two_type_incumbents;
+  /// 0 when nothing seeds). Not part of `configs`: the walk still visits
+  /// every index, so evaluated + pruned == configs.
+  std::size_t seeded = 0;
 };
 
 /// A sweep's product: the Pareto frontier, tagged with global

@@ -16,44 +16,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// 1e-9 leaves orders of magnitude of margin.
 constexpr double kBoundSlack = 1.0 - 1e-9;
 
-/// Linear chunk scan. A matched split equalises per-side times, so a
-/// configuration with combined rate R = Σ 1/k and combined busy power
-/// P = Σ e/k services W units in exactly t = W/R seconds for exactly
-/// e = W·P/R joules (both linear-homogeneous in W). The per-chunk
-/// reductions therefore track max R (→ the chunk's true minimum time)
-/// and min P/R (→ the chunk's true minimum energy): the corner is the
-/// tightest axis-aligned bound the chunk admits, not a loose cross of
-/// one config's power with another's rate.
-struct ChunkScan {
-  ChunkScan(std::size_t total, std::size_t chunk)
-      : chunk_left(chunk),
-        chunk_size(chunk),
-        rate_max((total + chunk - 1) / chunk, -kInf),
-        epu_min((total + chunk - 1) / chunk, kInf) {}
+}  // namespace
 
-  void feed(double rate, double power) {
-    const double epu = power / rate;  // energy per work unit, this config
-    if (rate > rate_max[cursor]) rate_max[cursor] = rate;
-    if (epu < epu_min[cursor]) epu_min[cursor] = epu;
-    if (--chunk_left == 0) {
-      chunk_left = chunk_size;
-      ++cursor;
-    }
+BoundCorner corner_from_extremes(double rate_max, double epu_min,
+                                 double work_units) {
+  const double t = work_units / rate_max * kBoundSlack;
+  const double e = work_units * epu_min * kBoundSlack;
+  if (!(rate_max > 0.0) || !std::isfinite(t) || !std::isfinite(e)) {
+    return {-kInf, -kInf};
   }
-
-  std::size_t chunk_left;
-  std::size_t chunk_size;
-  std::size_t cursor = 0;
-  std::vector<double> rate_max;
-  std::vector<double> epu_min;
-};
-
-/// Per-entry execution rate (1/k) and busy power (energy per second at
-/// full tilt, e/k) of one side's deployment table.
-struct SideRates {
-  std::vector<double> rate;
-  std::vector<double> power;
-};
+  return {t, e};
+}
 
 SideRates side_rates(const DeploymentTable& table) {
   SideRates s;
@@ -67,30 +40,76 @@ SideRates side_rates(const DeploymentTable& table) {
   return s;
 }
 
-/// Corner of one chunk: t = W/max R, e = W·min(P/R) in real arithmetic,
-/// both shrunk by the slack. Anything non-finite (degenerate entries,
-/// empty trailing chunk) collapses to -infinity: never dominated, never
-/// pruned.
-std::pair<std::vector<double>, std::vector<double>> finalize(
-    const ChunkScan& scan, double work_units) {
-  std::vector<double> t_lo(scan.rate_max.size());
-  std::vector<double> e_lo(scan.rate_max.size());
-  for (std::size_t c = 0; c < t_lo.size(); ++c) {
-    const double rate = scan.rate_max[c];
-    const double epu = scan.epu_min[c];
-    double t = work_units / rate * kBoundSlack;
-    double e = work_units * epu * kBoundSlack;
-    if (!(rate > 0.0) || !std::isfinite(t) || !std::isfinite(e)) {
-      t = -kInf;
-      e = -kInf;
-    }
-    t_lo[c] = t;
-    e_lo[c] = e;
-  }
-  return {std::move(t_lo), std::move(e_lo)};
+TwoTypeBounds::TwoTypeBounds(const MemoizedConfigEvaluator& memo,
+                             double work_units)
+    : arm_(side_rates(memo.arm_table())),
+      amd_(side_rates(memo.amd_table())),
+      arm_points_(arm_.rate.size()),
+      amd_points_(amd_.rate.size()),
+      hetero_(arm_points_ * amd_points_),
+      work_units_(work_units) {
+  HEC_EXPECTS(work_units > 0.0);
 }
 
-}  // namespace
+void RunExtremes::feed(double rb, double pb, const double* __restrict r,
+                       const double* __restrict p, std::size_t n) {
+  // The divisions run over a slice buffer the compiler vectorizes.
+  constexpr std::size_t kSlice = 32;
+  double rate[kSlice];
+  double epu[kSlice];  // energy per work unit, per config
+  for (std::size_t base = 0; base < n; base += kSlice) {
+    const std::size_t len = std::min(kSlice, n - base);
+    for (std::size_t j = 0; j < len; ++j) {
+      rate[j] = rb + r[base + j];
+      epu[j] = (pb + p[base + j]) / rate[j];
+    }
+    std::size_t j = 0;
+    for (; j + kLanes <= len; j += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        fold(l, rate[j + l], epu[j + l]);
+      }
+    }
+    for (; j < len; ++j) fold(0, rate[j], epu[j]);
+  }
+}
+
+BoundCorner RunExtremes::corner(double work_units) const {
+  double rate_max = rate_max_[0];
+  double epu_min = epu_min_[0];
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    rate_max = rate_max_[l] > rate_max ? rate_max_[l] : rate_max;
+    epu_min = epu_min_[l] < epu_min ? epu_min_[l] : epu_min;
+  }
+  return corner_from_extremes(rate_max, epu_min, work_units);
+}
+
+BoundCorner TwoTypeBounds::corner(std::size_t first, std::size_t last) const {
+  HEC_EXPECTS(first <= last && last <= size());
+  RunExtremes run;
+  std::size_t i = first;
+  // Hetero region (ARM-major): rates and powers add across the pair.
+  while (i < last && i < hetero_) {
+    const std::size_t a = i / amd_points_;
+    const std::size_t d = i - a * amd_points_;
+    const std::size_t n = std::min(last - i, amd_points_ - d);
+    run.feed(arm_.rate[a], arm_.power[a], amd_.rate.data() + d,
+             amd_.power.data() + d, n);
+    i += n;
+  }
+  // Homogeneous tails: single-type rates.
+  if (i < last && i < hetero_ + arm_points_) {
+    const std::size_t a = i - hetero_;
+    const std::size_t n = std::min(last - i, arm_points_ - a);
+    run.feed(0.0, 0.0, arm_.rate.data() + a, arm_.power.data() + a, n);
+    i += n;
+  }
+  if (i < last) {
+    const std::size_t d = i - hetero_ - arm_points_;
+    run.feed(0.0, 0.0, amd_.rate.data() + d, amd_.power.data() + d,
+             last - i);
+  }
+  return run.corner(work_units_);
+}
 
 BlockBoundTable::BlockBoundTable(std::size_t chunk, std::vector<double> t_lo,
                                  std::vector<double> e_lo)
@@ -102,29 +121,17 @@ BlockBoundTable BlockBoundTable::for_two_type(
   HEC_EXPECTS(chunk >= 1);
   HEC_EXPECTS(work_units > 0.0);
   HEC_SPAN("sweep.bounds_build");
-  const ConfigSpaceLayout& layout = memo.layout();
-  const std::size_t total = layout.size();
-  const SideRates arm = side_rates(memo.arm_table());
-  const SideRates amd = side_rates(memo.amd_table());
-
-  ChunkScan scan(total, chunk);
-  // Hetero region (ARM-major): rates and powers add across the pair.
-  for (std::size_t a = 0; a < arm.rate.size(); ++a) {
-    const double ra = arm.rate[a];
-    const double pa = arm.power[a];
-    for (std::size_t d = 0; d < amd.rate.size(); ++d) {
-      scan.feed(ra + amd.rate[d], pa + amd.power[d]);
-    }
+  const TwoTypeBounds sides(memo, work_units);
+  const std::size_t total = sides.size();
+  const std::size_t chunks = (total + chunk - 1) / chunk;
+  std::vector<double> t_lo(chunks);
+  std::vector<double> e_lo(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const BoundCorner k =
+        sides.corner(c * chunk, std::min(total, (c + 1) * chunk));
+    t_lo[c] = k.t_lo;
+    e_lo[c] = k.e_lo;
   }
-  // Homogeneous tails: single-type rates.
-  for (std::size_t a = 0; a < arm.rate.size(); ++a) {
-    scan.feed(arm.rate[a], arm.power[a]);
-  }
-  for (std::size_t d = 0; d < amd.rate.size(); ++d) {
-    scan.feed(amd.rate[d], amd.power[d]);
-  }
-
-  auto [t_lo, e_lo] = finalize(scan, work_units);
   return BlockBoundTable(chunk, std::move(t_lo), std::move(e_lo));
 }
 
@@ -159,7 +166,9 @@ BlockBoundTable BlockBoundTable::for_multi(const MemoizedMultiEvaluator& memo,
       combo /= radix[t];
     }
   }
-  ChunkScan scan(total, chunk);
+  std::vector<double> t_lo((total + chunk - 1) / chunk);
+  std::vector<double> e_lo(t_lo.size());
+  RunExtremes run;
   for (std::size_t i = 0;;) {
     double rsum = 0.0;
     double psum = 0.0;
@@ -167,68 +176,49 @@ BlockBoundTable BlockBoundTable::for_multi(const MemoizedMultiEvaluator& memo,
       rsum += rate[t][digit[t]];
       psum += power[t][digit[t]];
     }
-    scan.feed(rsum, psum);
-    if (++i == total) break;
+    run.add(rsum, psum);
+    ++i;
+    if (i % chunk == 0 || i == total) {
+      const BoundCorner k = run.corner(work_units);
+      t_lo[(i - 1) / chunk] = k.t_lo;
+      e_lo[(i - 1) / chunk] = k.e_lo;
+      run = RunExtremes();
+    }
+    if (i == total) break;
     for (std::size_t pos = 0;; ++pos) {
       if (++digit[pos] < radix[pos]) break;
       digit[pos] = 0;
     }
   }
-
-  auto [t_lo, e_lo] = finalize(scan, work_units);
   return BlockBoundTable(chunk, std::move(t_lo), std::move(e_lo));
 }
 
-std::vector<TimeEnergyPoint> two_type_incumbents(
-    const MemoizedConfigEvaluator& memo, double work_units) {
-  const ConfigSpaceLayout& layout = memo.layout();
-  const std::size_t arm_points = layout.arm_points();
-  const std::size_t amd_points = layout.amd_points();
-  const std::size_t hetero = arm_points * amd_points;
-
-  // Per side: fastest (min time-per-unit), lowest busy power, lowest
-  // energy-per-unit. Ties resolve to the lowest deployment index, so
-  // the pick — and therefore the seed — is deterministic.
-  const auto picks = [](const DeploymentTable& table) {
-    std::vector<std::size_t> out;
-    if (table.size() == 0) return out;
-    std::size_t fastest = 0, coolest = 0, cheapest = 0;
-    double best_k = kInf, best_p = kInf, best_epu = kInf;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const DeploymentEntry& e = table.entry(i);
-      const double k = e.time_per_unit;
-      const double epu = e.op.energy_per_unit();
-      const double p = epu / k;
-      if (k < best_k) { best_k = k; fastest = i; }
-      if (p < best_p) { best_p = p; coolest = i; }
-      if (epu < best_epu) { best_epu = epu; cheapest = i; }
-    }
-    out = {fastest, coolest, cheapest};
-    return out;
-  };
-  const std::vector<std::size_t> arm_picks = picks(memo.arm_table());
-  const std::vector<std::size_t> amd_picks = picks(memo.amd_table());
-
-  std::vector<std::size_t> indices;
-  for (const std::size_t a : arm_picks) {
-    for (const std::size_t d : amd_picks) {
-      indices.push_back(a * amd_points + d);
+std::vector<std::size_t> per_side_set(const SideRates& side) {
+  std::vector<std::size_t> order;
+  order.reserve(side.rate.size());
+  for (std::size_t i = 0; i < side.rate.size(); ++i) {
+    if (side.rate[i] > 0.0 && std::isfinite(side.rate[i]) &&
+        std::isfinite(side.power[i])) {
+      order.push_back(i);
     }
   }
-  for (const std::size_t a : arm_picks) indices.push_back(hetero + a);
-  for (const std::size_t d : amd_picks) {
-    indices.push_back(hetero + arm_points + d);
+  // Every deployment that could beat j sorts before it, so j is beaten
+  // exactly when some earlier entry's power is at most its own.
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    if (side.rate[x] != side.rate[y]) return side.rate[x] > side.rate[y];
+    if (side.power[x] != side.power[y]) return side.power[x] < side.power[y];
+    return x < y;
+  });
+  std::vector<std::size_t> kept;
+  double power_min = kInf;
+  for (const std::size_t i : order) {
+    if (side.power[i] < power_min) {
+      power_min = side.power[i];
+      kept.push_back(i);
+    }
   }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-
-  std::vector<TimeEnergyPoint> points;
-  points.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    const ConfigOutcome o = memo.evaluate_at(i, work_units);
-    points.push_back({o.t_s, o.energy_j, i});
-  }
-  return pareto_frontier(std::move(points));
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
 }  // namespace hec

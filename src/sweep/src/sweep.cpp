@@ -15,13 +15,17 @@ namespace hec {
 
 namespace {
 
+ThreadPool& sweep_pool(const SweepOptions& opts) {
+  return opts.pool != nullptr ? *opts.pool : global_pool();
+}
+
 /// Runs the generic streaming reduction (hec/sweep/reduction.h) over the
 /// whole index space in one pass; per-worker partial frontiers merge at
 /// the end. The result is bit-identical for any claim size, worker count
 /// or compaction limit (see hec/pareto/streaming.h). `seed` pre-loads
-/// one accumulator with already-evaluated points of the space (see
-/// two_type_incumbents) so bound-and-prune can fire from the first
-/// chunk.
+/// every worker's accumulator with already-evaluated points of the
+/// space (see two_type_incumbents) so bound-and-prune can fire from
+/// each worker's first chunk.
 template <typename ConsumeBlock>
 SweepResult run_streaming_reduction(std::size_t total, std::size_t claim,
                                     const SweepOptions& opts,
@@ -29,9 +33,8 @@ SweepResult run_streaming_reduction(std::size_t total, std::size_t claim,
                                     const ConsumeBlock& consume_block) {
   SweepResult result;
   result.stats.configs = total;
-  ThreadPool& pool = opts.pool != nullptr ? *opts.pool : global_pool();
   RangeReduction reduction =
-      reduce_index_range(pool, opts.parallel, 0, total, claim,
+      reduce_index_range(sweep_pool(opts), opts.parallel, 0, total, claim,
                          opts.compact_limit, std::move(seed), consume_block);
   result.stats.blocks = reduction.blocks;
   result.stats.workers = reduction.workers;
@@ -99,7 +102,8 @@ SweepResult sweep_frontier(const NodeTypeModel& arm_model,
   const TwoTypeSweepKernel kernel(memo, work_units,
                                   {opts.prune, opts.simd, opts.prune_chunk});
   SweepResult result = run_streaming_reduction(
-      memo.size(), opts.block, opts, kernel.incumbents(),
+      memo.size(), opts.block, opts,
+      kernel.incumbents(opts.parallel ? &sweep_pool(opts) : nullptr),
       [&](std::size_t first, std::size_t count, ParetoAccumulator& acc) {
         kernel.consume(first, count, acc);
       });
@@ -107,6 +111,7 @@ SweepResult sweep_frontier(const NodeTypeModel& arm_model,
   result.stats.evaluated = ks.evaluated;
   result.stats.pruned = ks.pruned;
   result.stats.blocks_pruned = ks.chunks_pruned;
+  result.stats.seeded = ks.seeded;
   return finish(std::move(result));
 }
 
@@ -127,8 +132,7 @@ SweepResult sweep_frontier_reference(const NodeTypeModel& arm_model,
     outcomes[i] = memo.evaluate_at(i, work_units);
   };
   if (opts.parallel) {
-    ThreadPool& pool = opts.pool != nullptr ? *opts.pool : global_pool();
-    parallel_for(0, memo.size(), eval_at, pool);
+    parallel_for(0, memo.size(), eval_at, sweep_pool(opts));
   } else {
     for (std::size_t i = 0; i < memo.size(); ++i) eval_at(i);
   }

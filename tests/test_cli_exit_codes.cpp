@@ -29,8 +29,14 @@ int run_cli(const std::string& args) {
 }
 
 /// Like run_cli but captures stderr, for tests that pin diagnostics.
+/// ctest runs each case as its own process, possibly in parallel, so the
+/// capture file is named after the calling test.
 int run_cli_stderr(const std::string& args, std::string* err_out) {
-  const std::string err_path = ::testing::TempDir() + "hecsim_cli_stderr.txt";
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string err_path = ::testing::TempDir() + "hecsim_cli_stderr_" +
+                               test->test_suite_name() + "." + test->name() +
+                               ".txt";
   const std::string cmd = std::string(HECSIM_CLI_PATH) + " " + args +
                           " > /dev/null 2> " + err_path;
   const int status = std::system(cmd.c_str());

@@ -622,6 +622,10 @@ int run(int argc, char** argv) {
   bool have_sweep_split = false;
   std::size_t sweep_evaluated = 0;
   std::size_t sweep_pruned = 0;
+  // Configs the seed pass evaluated before the walk (in-memory and
+  // sharded sweeps; the resumable sweep never self-seeds). Reported on
+  // their own: the walk's evaluated + pruned still covers the space.
+  std::size_t sweep_seeded = 0;
   // Worker spans + coordinator decisions from a sharded run, threaded
   // into the Chrome trace export. Empty (and skipped by the writer) on
   // every other path.
@@ -681,6 +685,7 @@ int run(int argc, char** argv) {
       have_sweep_split = true;
       sweep_evaluated = sweep.configs_evaluated;
       sweep_pruned = sweep.configs_pruned;
+      sweep_seeded = sweep.configs_seeded;
       if (g_ledger) {
         char run_id[32];
         std::snprintf(run_id, sizeof(run_id), "%016llx",
@@ -768,6 +773,7 @@ int run(int argc, char** argv) {
       have_sweep_split = true;
       sweep_evaluated = sweep.stats.evaluated;
       sweep_pruned = sweep.stats.pruned;
+      sweep_seeded = sweep.stats.seeded;
       best_from_frontier(std::move(sweep.frontier));
     } else {
       const auto result =
@@ -795,6 +801,8 @@ int run(int argc, char** argv) {
           static_cast<double>(sweep_evaluated);
       g_ledger->counters["sweep.configs_pruned"] =
           static_cast<double>(sweep_pruned);
+      g_ledger->counters["sweep.configs_seeded"] =
+          static_cast<double>(sweep_seeded);
     }
   }
   if (partial) {
@@ -827,10 +835,10 @@ int run(int argc, char** argv) {
       const hec::ConfigSpaceLayout layout(arm, amd, limits);
       std::cout << visited << " visited = " << sweep_evaluated
                 << " evaluated + " << sweep_pruned << " pruned [" << pct
-                << "%]; memo: "
+                << "%]; seed: " << sweep_seeded << " evaluated; memo: "
                 << layout.arm_points() + layout.amd_points()
-                << " deployment tables served " << sweep_evaluated
-                << " evaluations";
+                << " deployment tables served "
+                << sweep_evaluated + sweep_seeded << " evaluations";
     } else {
       std::cout << evaluations << " evaluated, 0 pruned (method "
                 << opts.method << " evaluates everything it visits)";
